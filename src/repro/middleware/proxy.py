@@ -20,7 +20,6 @@ fronted by a proxy.  The proxy:
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Any, Optional
 
 from ..core.partition import PartitionMap
@@ -57,6 +56,7 @@ from .messages import (
     TableSyncRequest,
     TxnResponse,
 )
+from .pending import PendingRefreshes
 from .perfmodel import ReplicaPerformance
 
 __all__ = ["ReplicaProxy", "ReplicaCrashed", "CertifierUnavailable"]
@@ -143,16 +143,9 @@ class ReplicaProxy:
         self.batch_refresh_apply = batch_refresh_apply
         self.refresh_batch_limit = refresh_batch_limit
 
-        # Refresh writesets received but not applied yet, by version, plus a
-        # min-heap over the pending versions so stale entries (at or below
-        # V_local after a recovery replay) are purged from the front in
-        # O(log n) instead of rescanning the dict on every message.
-        self._pending_refresh: dict[int, Any] = {}
-        self._pending_versions: list[int] = []
-        # Per-partition predecessor vectors of pending refreshes (kept out
-        # of ``_pending_refresh`` so its values stay plain writesets for
-        # early certification and the legacy applier).
-        self._pending_prevs: dict[int, Optional[tuple]] = {}
+        # Refresh writesets received but not applied yet, with the indexes
+        # both appliers select from (see middleware/pending.py).
+        self._pending = PendingRefreshes()
         # Versions reserved for local certified transactions.
         self._reserved: set[int] = set()
         # Active local transactions still executing (pre-certification),
@@ -236,7 +229,7 @@ class ReplicaProxy:
     @property
     def pending_refresh_count(self) -> int:
         """Refresh writesets received but not yet applied."""
-        return len(self._pending_refresh)
+        return len(self._pending)
 
     # -- message dispatch ------------------------------------------------------
     def _run(self):
@@ -327,7 +320,7 @@ class ReplicaProxy:
         next_version = self.engine.version + 1
         if commit_version <= self.engine.version:
             return
-        if next_version in self._pending_refresh or next_version in self._reserved:
+        if next_version in self._pending.writesets or next_version in self._reserved:
             return
         if self.env.now - self._last_gap_repair < self.gap_repair_cooldown_ms:
             return
@@ -534,37 +527,23 @@ class ReplicaProxy:
             # own pending commit, and applying it twice would fork V_local.
             if (
                 not self.engine.database.has_applied(version)
-                and version not in self._pending_refresh
+                and version not in self._pending.writesets
                 and version not in self._reserved
             ):
                 self._enqueue_refresh(version, writeset, prevs)
         self._wake_applier()
 
     def _enqueue_refresh(self, version: int, writeset, prevs=None) -> None:
-        if version not in self._pending_refresh:
-            heappush(self._pending_versions, version)
-        else:
+        if not self._pending.add(version, writeset, prevs):
             # Already buffered: a duplicate delivery that raced ahead of the
             # apply loop (the post-apply duplicates are caught by
             # ``has_applied`` in ``_receive_refresh``).
             self.duplicate_refreshes_ignored += 1
-        self._pending_refresh[version] = writeset
-        if prevs is not None:
-            self._pending_prevs[version] = prevs
 
     def _purge_stale_refreshes(self) -> None:
-        """Drop pending entries at or below ``V_local``.
-
-        The heap tracks the minimum pending version, so the purge touches
-        only the stale front (plus already-applied leftovers, which the
-        lazy ``pop`` discards) — no dict rescan per message or loop turn.
-        """
-        heap = self._pending_versions
-        current = self.engine.version
-        while heap and heap[0] <= current:
-            stale = heappop(heap)
-            self._pending_refresh.pop(stale, None)
-            self._pending_prevs.pop(stale, None)
+        """Drop pending entries at or below ``V_local``, popping them from
+        the front of the buffer's version heap (no scan of the buffer)."""
+        self._pending.purge_through(self.engine.version)
 
     def _wake_applier(self) -> None:
         if self._applier_wakeup is not None and not self._applier_wakeup.triggered:
@@ -599,7 +578,7 @@ class ReplicaProxy:
                     [self.clock.wait_for(next_version), self._applier_wakeup]
                 )
                 self._applier_wakeup = None
-            elif next_version in self._pending_refresh:
+            elif next_version in self._pending.writesets:
                 batch = self._drain_refresh_run(next_version)
                 if len(batch) == 1:
                     # One version pending: identical CPU pricing (and RNG
@@ -619,42 +598,16 @@ class ReplicaProxy:
                 yield self._applier_wakeup
                 self._applier_wakeup = None
 
-    def _ready_pending_version(self) -> Optional[int]:
-        """Smallest pending global version whose per-partition predecessors
-        have all been applied (partitioned mode).
-
-        A pending refresh without a predecessor vector (sent by a
-        pre-partitioning certifier) falls back to strict prefix order.
-        Versions reserved by local certified transactions are owned by
-        their commits and skipped.
-        """
-        best: Optional[int] = None
-        for version in self._pending_refresh:
-            if version in self._reserved:
-                continue
-            if self.engine.database.has_applied(version):
-                continue
-            prevs = self._pending_prevs.get(version)
-            if prevs is None:
-                ready = version == self.engine.version + 1
-            else:
-                ready = all(
-                    self.engine.database.has_applied(prev) for _p, prev in prevs
-                )
-            if ready and (best is None or version < best):
-                best = version
-        return best
-
     def _apply_ready_partitioned(self):
         """One applier turn in partitioned mode: install the smallest ready
         refresh (its partition predecessors are applied), or sleep."""
-        version = self._ready_pending_version()
+        version = self._pending.ready(self.engine.database, self._reserved)
         if version is None:
             self._applier_wakeup = Event(self.env)
             yield self._applier_wakeup
             self._applier_wakeup = None
             return
-        writeset = self._pending_refresh[version]
+        writeset = self._pending.writesets[version]
         yield from self.cpu.use(self.perf.refresh(len(writeset)))
         if self.crashed:
             return
@@ -662,13 +615,11 @@ class ReplicaProxy:
         # the version may have been applied by a recovery replay, or claimed
         # by a certify reply for a local in-flight transaction.
         if self.engine.database.has_applied(version) or version in self._reserved:
-            self._pending_refresh.pop(version, None)
-            self._pending_prevs.pop(version, None)
+            self._pending.pop(version)
             return
         self._install_refresh(writeset, version)
         self.refresh_applied_count += 1
-        self._pending_refresh.pop(version, None)
-        self._pending_prevs.pop(version, None)
+        self._pending.pop(version)
         self._advance_partition_clocks(version, writeset)
         # The watermark may have absorbed a whole applied-ahead run; the
         # main clock (and the progress report to the certifier) follow it,
@@ -708,15 +659,16 @@ class ReplicaProxy:
         ``next_version`` (a single version when batching is off).  The run
         stops at a gap, at a version reserved by a local certified
         transaction (the local commit owns it), or at the batch limit."""
-        batch = [(next_version, self._pending_refresh.pop(next_version))]
+        pending = self._pending
+        batch = [(next_version, pending.pop(next_version))]
         if self.batch_refresh_apply:
             version = next_version + 1
             while (
                 len(batch) < self.refresh_batch_limit
-                and version in self._pending_refresh
+                and version in pending.writesets
                 and version not in self._reserved
             ):
-                batch.append((version, self._pending_refresh.pop(version)))
+                batch.append((version, pending.pop(version)))
                 version += 1
         return batch
 
@@ -741,7 +693,7 @@ class ReplicaProxy:
                     if (
                         later > self.engine.version
                         and later not in self._reserved
-                        and later not in self._pending_refresh
+                        and later not in self._pending.writesets
                     ):
                         self._enqueue_refresh(later, later_ws)
                 return
@@ -749,7 +701,7 @@ class ReplicaProxy:
             self.refresh_applied_count += 1
             # A duplicate of this version may have arrived while the apply
             # held the CPU; drop it so it cannot linger.
-            self._pending_refresh.pop(version, None)
+            self._pending.pop(version)
             self.clock.advance_to(version)
             self._send_commit_applied(version, len(writeset))
 
@@ -779,7 +731,8 @@ class ReplicaProxy:
         if doomed is not None:
             return doomed
         partial = txn.partial_writeset()
-        for version, refresh in self._pending_refresh.items():
+        # First-arrival order, so the reason names the first conflict.
+        for version, refresh in self._pending.writesets.items():
             if refresh.conflicts_with(partial):
                 return (
                     f"early certification: conflict with pending refresh v{version}"
@@ -887,9 +840,7 @@ class ReplicaProxy:
         durable state (the engine's committed data) survives, matching the
         crash-recovery failure model."""
         self.crashed = True
-        self._pending_refresh.clear()
-        self._pending_versions.clear()
-        self._pending_prevs.clear()
+        self._pending.clear()
         self._doomed.clear()
         for txn in list(self.engine.active_transactions):
             self.engine.abort(txn, "replica crashed")
